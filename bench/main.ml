@@ -560,7 +560,7 @@ let batch _full =
   let queries = List.map Logic.Parser.query batch_queries in
   let n = List.length queries in
   (* The context runs its kernels sequentially on both sides, so the
-     comparison isolates the caches (and Batch.run forces the sequential
+     comparison isolates the caches (and Session.batch forces the sequential
      per-query path anyway — the bit-identity invariant). *)
   let ctx =
     Checker.make ~epsilon:1e-8 ~pool:Parallel.Pool.sequential
@@ -576,10 +576,23 @@ let batch _full =
           queries)
   in
   Numerics.Fox_glynn.cache_clear ();
-  let memo = Checker.create_memo () in
+  let fg_start = Numerics.Fox_glynn.cache_counters () in
+  let mrm, labeling, init = Option.get (Models.Builtin.load "adhoc") in
+  let session =
+    Session.of_explicit
+      { Session.engine = Perf.Engine.default; epsilon = 1e-8;
+        reduction = Perf.Reduction.default; pool = !pool;
+        telemetry = !session_telemetry }
+      mrm labeling init
+  in
   let batched_verdicts, batch_seconds =
     timed (fun () ->
-        Batch.run ~pool:!pool ?telemetry:!session_telemetry ~memo ctx queries)
+        match Session.batch session queries with
+        | Ok answers ->
+          List.filter_map
+            (function Session.Verdict { verdict; _ } -> Some verdict | _ -> None)
+            answers
+        | Error r -> failwith ("batch: " ^ r.Session.message))
   in
   let identical = batched_verdicts = cold_verdicts in
   if not identical then begin
@@ -592,19 +605,12 @@ let batch _full =
      bit-identical: %b\n"
     n (Io.Table.seconds cold_seconds) (Io.Table.seconds batch_seconds)
     !jobs speedup identical;
-  let fg = Numerics.Fox_glynn.cache_counters () in
-  let caches =
-    Checker.memo_counters memo
-    @ [ ("fox_glynn",
-         { Perf.Batch.lookups = fg.Numerics.Fox_glynn.lookups;
-           hits = fg.Numerics.Fox_glynn.hits;
-           misses = fg.Numerics.Fox_glynn.misses }) ]
-  in
+  let caches = Session.cache_counters ~fox_glynn_since:fg_start session in
   List.iter
     (fun (name, (c : Perf.Batch.counters)) ->
       Printf.printf "  cache %-10s %3d lookups, %3d hits (%.0f%%)\n" name
         c.Perf.Batch.lookups c.Perf.Batch.hits
-        (100.0 *. Batch.hit_rate c))
+        (100.0 *. Perf.Batch.hit_rate c))
     caches;
   let batch_json =
     Io.Json.Object
@@ -614,19 +620,7 @@ let batch _full =
         ("batch_seconds", Io.Json.Number batch_seconds);
         ("speedup", Io.Json.Number speedup);
         ("identical", Io.Json.Bool identical);
-        ("caches",
-         Io.Json.Object
-           (List.map
-              (fun (name, (c : Perf.Batch.counters)) ->
-                (name,
-                 Io.Json.Object
-                   [ ("lookups",
-                      Io.Json.Number (float_of_int c.Perf.Batch.lookups));
-                     ("hits", Io.Json.Number (float_of_int c.Perf.Batch.hits));
-                     ("misses",
-                      Io.Json.Number (float_of_int c.Perf.Batch.misses));
-                     ("hit_rate", Io.Json.Number (Batch.hit_rate c)) ]))
-              caches)) ]
+        ("caches", Session.cache_json ~fox_glynn_since:fg_start session) ]
   in
   (* Merge into BENCH_perf.json so `perf batch` produces one document. *)
   let existing =
@@ -825,14 +819,21 @@ let frontier _full =
             (t, outcome)))
   in
   Numerics.Fox_glynn.cache_clear ();
-  let memo = Checker.create_memo () in
-  let warm_ctx = ctx () in
+  let fg_start = Numerics.Fox_glynn.cache_counters () in
+  let session =
+    Session.of_explicit
+      { Session.engine; epsilon = 1e-6; reduction = Perf.Reduction.default;
+        pool = Parallel.Pool.sequential; telemetry = !session_telemetry }
+      mrm labeling init
+  in
   let result, sweep_seconds =
     timed (fun () ->
-        Batch.Frontier.run ?telemetry:!session_telemetry ~memo warm_ctx ~init
-          ~tolerance query)
+        match Session.frontier ~tolerance session query with
+        | Ok (Session.Frontier f) -> f
+        | Ok _ -> failwith "frontier: not a sweep"
+        | Error r -> failwith ("frontier: " ^ r.Session.message))
   in
-  let points = result.Batch.Frontier.points in
+  let points = result.Session.points in
   let n_points = List.length points in
   (* Sanity: the sweep and the 50 independent searches agree on which
      rows are feasible, and on every resolved reward within tolerance
@@ -845,20 +846,20 @@ let frontier _full =
          cold_rows)
   in
   List.iter
-    (fun (p : Batch.Frontier.point) ->
+    (fun (p : Perf.Frontier.point) ->
       let _, o =
         List.find
-          (fun (t, _) -> Float.equal t p.Batch.Frontier.t)
+          (fun (t, _) -> Float.equal t p.Perf.Frontier.t)
           cold_rows
       in
       match o.Perf.Frontier.value with
       | Some r_cold
-        when Float.abs (r_cold -. p.Batch.Frontier.r) <= tolerance -> ()
+        when Float.abs (r_cold -. p.Perf.Frontier.r) <= tolerance -> ()
       | _ ->
         Printf.eprintf
           "frontier: sweep row t=%.17g resolved r=%.17g disagrees with the \
            independent search\n"
-          p.Batch.Frontier.t p.Batch.Frontier.r;
+          p.Perf.Frontier.t p.Perf.Frontier.r;
         exit 1)
     points;
   (* The bit-identity check: each emitted point re-solved from scratch
@@ -866,20 +867,20 @@ let frontier _full =
      (t, r) must reproduce the exact probability. *)
   let cold_identical = ref true in
   List.iter
-    (fun (p : Batch.Frontier.point) ->
+    (fun (p : Perf.Frontier.point) ->
       Numerics.Fox_glynn.cache_clear ();
       let cold =
-        point_eval (ctx ()) None ~t:p.Batch.Frontier.t ~r:p.Batch.Frontier.r
+        point_eval (ctx ()) None ~t:p.Perf.Frontier.t ~r:p.Perf.Frontier.r
       in
       if
         not
           (Int64.equal
-             (Int64.bits_of_float p.Batch.Frontier.probability)
+             (Int64.bits_of_float p.Perf.Frontier.probability)
              (Int64.bits_of_float cold))
       then begin
         Printf.eprintf
           "frontier: point (t=%.17g, r=%.17g) warm %.17g != cold %.17g\n"
-          p.Batch.Frontier.t p.Batch.Frontier.r p.Batch.Frontier.probability
+          p.Perf.Frontier.t p.Perf.Frontier.r p.Perf.Frontier.probability
           cold;
         cold_identical := false
       end)
@@ -897,21 +898,14 @@ let frontier _full =
     states (Format.asprintf "%a" Perf.Engine.pp_spec engine) grid
     feasible_rows n_points
     (Io.Table.seconds cold_seconds) !cold_evaluations grid
-    (Io.Table.seconds sweep_seconds) result.Batch.Frontier.evaluations
+    (Io.Table.seconds sweep_seconds) result.Session.evaluations
     speedup !cold_identical;
-  let fg = Numerics.Fox_glynn.cache_counters () in
-  let caches =
-    Checker.memo_counters memo
-    @ [ ("fox_glynn",
-         { Perf.Batch.lookups = fg.Numerics.Fox_glynn.lookups;
-           hits = fg.Numerics.Fox_glynn.hits;
-           misses = fg.Numerics.Fox_glynn.misses }) ]
-  in
+  let caches = Session.cache_counters ~fox_glynn_since:fg_start session in
   List.iter
     (fun (name, (co : Perf.Batch.counters)) ->
       Printf.printf "  cache %-10s %3d lookups, %3d hits (%.0f%%)\n" name
         co.Perf.Batch.lookups co.Perf.Batch.hits
-        (100.0 *. Batch.hit_rate co))
+        (100.0 *. Perf.Batch.hit_rate co))
     caches;
   let frontier_json =
     Io.Json.Object
@@ -922,31 +916,18 @@ let frontier _full =
         ("points", Io.Json.Number (float_of_int n_points));
         ("feasible_rows", Io.Json.Number (float_of_int feasible_rows));
         ("evaluations",
-         Io.Json.Number (float_of_int result.Batch.Frontier.evaluations));
+         Io.Json.Number (float_of_int result.Session.evaluations));
         ("cold_evaluations", Io.Json.Number (float_of_int !cold_evaluations));
-        ("target", Io.Json.Number result.Batch.Frontier.target);
-        ("time_bound", Io.Json.Number result.Batch.Frontier.time_bound);
-        ("reward_bound", Io.Json.Number result.Batch.Frontier.reward_bound);
-        ("tolerance", Io.Json.Number result.Batch.Frontier.tolerance);
+        ("target", Io.Json.Number result.Session.target);
+        ("time_bound", Io.Json.Number result.Session.time_bound);
+        ("reward_bound", Io.Json.Number result.Session.reward_bound);
+        ("tolerance", Io.Json.Number result.Session.tolerance);
         ("jobs", Io.Json.Number (float_of_int !jobs));
         ("cold_seconds", Io.Json.Number cold_seconds);
         ("sweep_seconds", Io.Json.Number sweep_seconds);
         ("speedup", Io.Json.Number speedup);
         ("identical", Io.Json.Bool !cold_identical);
-        ("caches",
-         Io.Json.Object
-           (List.map
-              (fun (name, (co : Perf.Batch.counters)) ->
-                (name,
-                 Io.Json.Object
-                   [ ("lookups",
-                      Io.Json.Number (float_of_int co.Perf.Batch.lookups));
-                     ("hits",
-                      Io.Json.Number (float_of_int co.Perf.Batch.hits));
-                     ("misses",
-                      Io.Json.Number (float_of_int co.Perf.Batch.misses));
-                     ("hit_rate", Io.Json.Number (Batch.hit_rate co)) ]))
-              caches)) ]
+        ("caches", Session.cache_json ~fox_glynn_since:fg_start session) ]
   in
   let existing =
     match open_in_bin "BENCH_perf.json" with
@@ -1139,10 +1120,10 @@ let serve_scale _full =
     let reg = Server.Service.registry service in
     List.iter
       (fun (name, builtin) ->
-        match Server.Registry.load reg ~name ~builtin () with
+        match Server.Registry.load reg ~name (Session.Builtin builtin) with
         | Ok _ -> ()
-        | Error message ->
-          prerr_endline ("serve-scale: " ^ message);
+        | Error e ->
+          prerr_endline ("serve-scale: " ^ Session.load_error_message e);
           exit 1)
       sources;
     let req_read, req_write = Unix.pipe ~cloexec:false () in

@@ -57,7 +57,7 @@ let run socket tcp executors jobs queue deadline engine_text epsilon no_reduce
   if not (epsilon > 0.0 && epsilon < 1.0) then
     invalid "--epsilon needs a value in (0,1)";
   let engine =
-    match Perf.Engine.of_string engine_text with
+    match Session.engine_of_string ~epsilon engine_text with
     | Ok e -> e
     | Error message -> invalid message
   in
@@ -123,18 +123,13 @@ let run socket tcp executors jobs queue deadline engine_text epsilon no_reduce
   Option.iter
     (fun tel ->
       Io.Trace.record_pool_stats tel pool;
-      (match trace with
-       | None -> ()
-       | Some path ->
-         let document =
-           Io.Json.Object
-             [ ("tool", Io.Json.String "csrl-serve");
-               ("jobs", Io.Json.Number (float_of_int jobs));
-               ("telemetry", Io.Trace.to_json tel) ]
-         in
-         Out_channel.with_open_text path (fun oc ->
-             output_string oc (Io.Json.to_string document);
-             output_char oc '\n'));
+      Option.iter
+        (fun path ->
+          Io.Trace.write path
+            [ ("tool", Io.Json.String "csrl-serve");
+              ("jobs", Io.Json.Number (float_of_int jobs)) ]
+            tel)
+        trace;
       (* The protocol owns stdout; the deterministic counters go to
          stderr so scripted sessions can still pin them. *)
       if stats then Io.Trace.print_stats stderr tel)
@@ -200,7 +195,9 @@ let deadline_arg =
 let engine_arg =
   let doc =
     "Numerical engine for time- and reward-bounded until: sericola[:eps], \
-     erlang[:phases] or discretise[:step]."
+     erlang[:phases], discretise[:step] or windowed[:eps].  Symbolic (.gcm) \
+     models always run the windowed engine, at the accuracy of \
+     windowed:EPS when given and of --epsilon otherwise."
   in
   Arg.(value & opt string "sericola" & info [ "e"; "engine" ] ~docv:"ENGINE" ~doc)
 

@@ -46,8 +46,6 @@ let make_robust ?(engine = Perf.Engine.default) ?(epsilon = 1e-9)
 
 let mrm ctx = ctx.mrm
 let labeling ctx = ctx.labeling
-let robust_model ctx = Option.map (fun r -> r.imrm) ctx.robust
-let is_robust ctx = ctx.robust <> None
 let with_pool ctx pool = { ctx with pool }
 let with_telemetry ctx telemetry = { ctx with telemetry }
 let with_cancel ctx cancel = { ctx with cancel }
@@ -641,7 +639,7 @@ let eval_query ?memo ctx q =
       else Numeric (reward_values_k memo ctx q)
     | Logic.Ast.Frontier_query _ ->
       (* A frontier is a set of points, not a per-state vector; the sweep
-         driver (Batch.Frontier) decomposes it into Prob_query probes. *)
+         (Session.frontier) decomposes it into Prob_query probes. *)
       raise
         (Unsupported
            "frontier queries are evaluated by the frontier sweep \

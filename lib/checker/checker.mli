@@ -72,8 +72,7 @@ val make_robust :
 (** A robust context over an interval-valued model: {!eval_query}
     answers {!Three_valued} Sat verdicts and {!Interval} path envelopes
     computed by the robust envelope engine ({!Robust.Engine}, a
-    first-class {!Perf.Engine_intf} instance with the [intervals]
-    capability flag).  [engine] and [reduction] configure the precise
+    first-class {!Perf.Engine_intf} instance).  [engine] and [reduction] configure the precise
     code path that zero-width interval models delegate to — a point
     context and a robust context over {!Robust.Imrm.point} of the same
     model produce bit-identical probability values.  [epsilon] is both
@@ -91,8 +90,6 @@ val mrm : t -> Markov.Mrm.t
 
 val labeling : t -> Markov.Labeling.t
 
-val robust_model : t -> Robust.Imrm.t option
-val is_robust : t -> bool
 
 val with_pool : t -> Parallel.Pool.t -> t
 (** The same context running its kernels on a different pool.  The batch

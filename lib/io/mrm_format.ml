@@ -159,9 +159,7 @@ let parse_file path =
   let len = in_channel_length ic in
   let text = really_input_string ic len in
   close_in ic;
-  try parse text with
-  | Syntax_error (message, line) ->
-    raise (Syntax_error (Printf.sprintf "%s:%s" path message, line))
+  parse text
 
 let print doc =
   let buf = Buffer.create 1024 in

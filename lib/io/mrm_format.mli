@@ -29,7 +29,9 @@ val parse : string -> document
     labels, or an initial distribution that does not sum to one). *)
 
 val parse_file : string -> document
-(** Reads and parses a file; [Sys_error] on IO failure. *)
+(** Reads and parses a file; [Sys_error] on IO failure, {!Syntax_error}
+    (with the plain message — callers prefix the path) on malformed
+    input. *)
 
 val print : document -> string
 (** Renders back into the textual format; [parse (print d)] reproduces the

@@ -39,6 +39,12 @@ let record_pool_stats telemetry pool =
   if s.Parallel.Pool.busy_seconds > 0.0 then
     Telemetry.record tel "pool.busy_seconds" s.Parallel.Pool.busy_seconds
 
+let write path fields telemetry =
+  let document = Json.Object (fields @ [ ("telemetry", to_json telemetry) ]) in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string document);
+      output_char oc '\n')
+
 let print_stats oc telemetry =
   let report = Telemetry.report telemetry in
   Printf.fprintf oc "telemetry:\n";

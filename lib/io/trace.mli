@@ -20,6 +20,12 @@ val record_pool_stats : Telemetry.t -> Parallel.Pool.t -> unit
     [pool.busy_seconds].  Call it once, after the solves, before
     {!to_json}. *)
 
+val write : string -> (string * Json.t) list -> Telemetry.t -> unit
+(** [write path fields telemetry] writes the [--trace] document of
+    every front-end to [path]: one JSON object holding [fields] (tool,
+    mode, query, ... — whatever describes the run) followed by
+    ["telemetry"] ({!to_json}), then a newline. *)
+
 val print_stats : out_channel -> Telemetry.t -> unit
 (** Print the counters and gauges (sorted by name) as an indented
     [telemetry:] block.  Spans are deliberately omitted — everything

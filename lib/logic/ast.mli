@@ -60,7 +60,7 @@ type query =
           frontier [{(t, r) : P(phi U\[<=t\]\[<=r\] psi) >= p}] resolved
           on an [N]-point time grid.  The parser guarantees [path] is an
           until with finite downward-closed time and reward bounds.
-          Evaluated by [Batch.Frontier], not by the checker. *)
+          Evaluated by [Session.frontier], not by the checker. *)
 
 val eventually :
   ?time:Numerics.Time_interval.t -> ?reward:Numerics.Time_interval.t -> state_formula ->

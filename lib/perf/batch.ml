@@ -1,5 +1,9 @@
 type counters = { lookups : int; hits : int; misses : int }
 
+let hit_rate c =
+  if c.lookups = 0 then 0.0
+  else float_of_int c.hits /. float_of_int c.lookups
+
 (* Mutable counter cell; snapshots are taken under the cache mutex. *)
 type cell = { mutable c_lookups : int; mutable c_hits : int }
 

@@ -36,6 +36,9 @@ type t
 type counters = { lookups : int; hits : int; misses : int }
 (** Per-cache statistics; [hits + misses = lookups] always. *)
 
+val hit_rate : counters -> float
+(** [hits / lookups], or [0.] when the cache was never consulted. *)
+
 val create : unit -> t
 
 val reduced :

@@ -51,15 +51,6 @@ let solve_windowed ?pool ?telemetry ?cancel ~epsilon (p : Problem.t) =
     | Explore.Windowed.Reward_bound_active _ -> fallback ()
   end
 
-let caps : spec -> Engine_intf.caps = function
-  | Pseudo_erlang _ | Discretize _ ->
-    { Engine_intf.impulses = true; symbolic = false; intervals = false }
-  | Occupation_time _ -> Engine_intf.point_caps
-  | Windowed _ ->
-    (* Symbolic-capable; the reward-bound fallback goes to the
-       occupation-time engine, so impulse models are rejected there. *)
-    { Engine_intf.impulses = false; symbolic = true; intervals = false }
-
 let instantiate ?reduction spec : (Problem.t, float) Engine_intf.t =
   let run ?pool ?telemetry ?cancel (p : Problem.t) =
     Telemetry.with_span telemetry ("engine." ^ name spec) @@ fun () ->
@@ -86,7 +77,7 @@ let instantiate ?reduction spec : (Problem.t, float) Engine_intf.t =
           Sericola.solve ~epsilon ?pool ?telemetry ?cancel p
         | Windowed _ -> assert false
   in
-  { Engine_intf.id = name spec; caps = caps spec; run }
+  { Engine_intf.id = name spec; run }
 
 let solve ?pool ?telemetry ?reduction ?cancel spec (p : Problem.t) =
   (instantiate ?reduction spec).Engine_intf.run ?pool ?telemetry ?cancel p

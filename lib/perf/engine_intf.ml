@@ -3,10 +3,9 @@
     Every solver backend — the three computational procedures of
     Section 4, the sliding-window symbolic engine, and the robust
     envelope engine over imprecise MRMs ([lib/robust]) — is packaged as
-    an {!t} value: an identifier, a set of {!caps} capability flags, and
-    a [run] closure threading the house conventions ([?pool] for domain
-    pools, [?telemetry] for counters/spans, [?cancel] for cooperative
-    deadlines).  Call sites dispatch on the instance record instead of
+    an {!t} value: an identifier and a [run] closure threading the
+    house conventions ([?pool] for domain pools, [?telemetry] for
+    counters/spans, [?cancel] for cooperative deadlines).  Call sites dispatch on the instance record instead of
     pattern-matching engine variants, so precise and robust engines sit
     behind one signature and new backends plug in without touching the
     checker, the batch runner, the server, or the CLIs.
@@ -14,29 +13,15 @@
     The type is polymorphic in the model and the answer: precise engines
     are [(Problem.t, float)] instances, the robust envelope engine is an
     [(Imrm problem, bounds) ] instance.  The answer type is what keeps
-    a robust engine from being passed where a point answer is required —
-    capability flags describe what an engine {e can} consume, the type
-    describes what it {e produces}. *)
-
-type caps = {
-  impulses : bool;
-      (** Solves problems whose MRM carries impulse rewards.  Engines
-          without this flag raise [Invalid_argument] on such models. *)
-  symbolic : bool;
-      (** Can run directly over a successor function (on-the-fly
-          exploration of [.gcm] models) without materialising the
-          explicit matrix. *)
-  intervals : bool;
-      (** Answers are [lo, hi] envelopes over an uncertainty set rather
-          than point values. *)
-}
+    a robust engine from being passed where a point answer is required.
+    Which operations a loaded model supports is decided by its kind
+    ([Session.refusal]), not by engine flags. *)
 
 type ('model, 'answer) t = {
   id : string;
       (** Stable human-readable identifier, e.g. ["occupation-time"] or
           ["robust-envelope"]; used in telemetry span names and CLI
           output. *)
-  caps : caps;
   run :
     ?pool:Parallel.Pool.t ->
     ?telemetry:Telemetry.t ->
@@ -44,7 +29,5 @@ type ('model, 'answer) t = {
     'model ->
     'answer;
 }
-
-let point_caps = { impulses = false; symbolic = false; intervals = false }
 
 let run ?pool ?telemetry ?cancel t model = t.run ?pool ?telemetry ?cancel model

@@ -9,7 +9,7 @@
     divide-and-conquer bisection over the reward axis, using the already
     resolved neighbours as brackets; {!probe} is the 1-point degenerate
     case (one bisection along a single axis) and is the primitive
-    [Server.Quantile] delegates to.
+    quantile queries ([Session.quantile]) run on.
 
     This module is a pure search: it knows nothing about models or
     engines.  Callers supply [eval], typically a warm-context

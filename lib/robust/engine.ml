@@ -8,9 +8,6 @@ type problem = {
   reward_bound : float option;
 }
 
-let caps =
-  { Perf.Engine_intf.impulses = false; symbolic = false; intervals = true }
-
 let id = "robust-envelope"
 
 let make ?engine ?reduction ~epsilon () =
@@ -21,4 +18,4 @@ let make ?engine ?reduction ~epsilon () =
       ~psi_may:p.psi_may ~time_bound:p.time_bound
       ~reward_bound:p.reward_bound
   in
-  { Perf.Engine_intf.id; caps; run }
+  { Perf.Engine_intf.id; run }

@@ -4,10 +4,9 @@
     Where the precise engines are [(Problem.t, float)] instances, the
     robust engine consumes an until problem over an {!Imrm.t} and
     answers a per-state {!Envelope.result} — same record shape, same
-    [?pool]/[?telemetry]/[?cancel] threading, with the [intervals]
-    capability flag set.  The checker's robust contexts, the serving
-    registry's interval entries and the bench harness all dispatch
-    through this instance. *)
+    [?pool]/[?telemetry]/[?cancel] threading.  The checker's robust
+    contexts, the serving registry's interval entries and the bench
+    harness all dispatch through this instance. *)
 
 type problem = {
   imrm : Imrm.t;
@@ -18,9 +17,6 @@ type problem = {
   time_bound : float;
   reward_bound : float option;
 }
-
-val caps : Perf.Engine_intf.caps
-(** [{impulses = false; symbolic = false; intervals = true}]. *)
 
 val make :
   ?engine:Perf.Engine.spec ->

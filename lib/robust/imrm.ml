@@ -84,8 +84,8 @@ let reject_impulses what m =
   if Markov.Mrm.has_impulses m then
     invalid_arg
       (what
-     ^ ": impulse rewards are not supported by the robust engine (its \
-        capability flags say so); strip them or use a precise engine")
+     ^ ": impulse rewards are not supported by the robust engine; strip \
+        them or use a precise engine")
 
 let intervals_of_mrm ~rate_drift ~reward_drift m =
   let chain = Markov.Mrm.ctmc m in

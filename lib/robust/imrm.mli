@@ -10,7 +10,7 @@
     Imprecise Markov Reward Models".
 
     Impulse rewards are not representable: {!point} rejects models that
-    carry them (the robust engine's capability flags say so). *)
+    carry them. *)
 
 type t
 

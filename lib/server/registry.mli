@@ -1,23 +1,19 @@
-(** The daemon's model registry: named models, each carrying its warm
-    state.
+(** The daemon's model registry: named {!Session.t}s, each behind its
+    own lock.
 
-    Entries come in two flavours.  An {e explicit} entry bundles a
-    materialised model with everything that makes repeat queries cheap:
-    a prepared {!Checker.t} and a {!Checker.memo} holding the
-    hash-consed Sat-set and path-probability tables plus the
-    {!Perf.Batch} reduction and Theorem 1 caches.  A {e symbolic} entry
-    wraps a [.gcm] guarded-command program as a {!Perf.Symbolic.t},
-    whose warm state is the interned state space and the per-query
-    result memo — states discovered by one query are never re-discovered
-    by the next.  (The third warm layer, the Fox–Glynn window memo, is
-    process-wide, mutex-protected, and needs no per-entry state.)
+    A session carries all of a model's warm state — for explicit and
+    robust models the prepared {!Checker.t} and its {!Checker.memo}
+    (Sat-sets, path vectors, Theorem 1 and reduction caches, envelopes),
+    for a [.gcm] program the interned state space and per-query memo of
+    its {!Perf.Symbolic.t}.  (The Fox–Glynn window memo is process-wide,
+    mutex-protected, and needs no per-entry state.)
 
     Concurrency: the table itself is guarded by one mutex whose critical
     sections are tiny (hash lookups), so lookups on different models
     never wait on each other's solves.  Each entry additionally carries
     its own lock, taken via {!exclusively} around a solve, which is what
-    protects the entry's warm caches when entries are used from several
-    executor domains.  Under the per-model sharding of
+    protects the session's warm caches when entries are used from
+    several executor domains.  Under the per-model sharding of
     {!Service.serve_channels} the lock is uncontended by construction —
     same model, same shard — and warm-cache hits on {e different} models
     never serialise on anything.
@@ -29,64 +25,48 @@
     reclaimed by the GC afterwards.  Later requests on the evicted name
     get [None] from {!find}. *)
 
-type payload =
+type payload = Session.t =
   | Explicit of {
+      config : Session.config;
       mrm : Markov.Mrm.t;
       labeling : Markov.Labeling.t;
       init : Linalg.Vec.t;
-      ctx : Checker.t;     (** prepared on the server's engine/pool config *)
-      memo : Checker.memo; (** the entry's warm caches *)
+      ctx : Checker.t;
+      memo : Checker.memo;
     }
-  | Symbolic of {
-      path : string;            (** the [.gcm] file it was loaded from *)
-      sym : Perf.Symbolic.t;    (** warm space + query memo *)
-    }
+  | Symbolic of { config : Session.config; path : string; sym : Perf.Symbolic.t }
   | Robust of {
+      config : Session.config;
       imrm : Robust.Imrm.t;
       labeling : Markov.Labeling.t;
       init : Linalg.Vec.t;
-      ctx : Checker.t;     (** a robust context ({!Checker.make_robust}) *)
-      memo : Checker.memo; (** warm caches incl. envelopes and tri-Sat sets *)
+      ctx : Checker.t;
+      memo : Checker.memo;
     }
+(** The session an entry serves, re-exported so callers can look inside
+    without naming {!Session}. *)
 
 type entry = {
   name : string;
   payload : payload;
   entry_lock : Mutex.t;
-      (** guards the payload's warm caches during a solve; take it via
+      (** guards the session's warm caches during a solve; take it via
           {!exclusively} *)
 }
 
 type t
 
-val create :
-  make_ctx:(Markov.Mrm.t -> Markov.Labeling.t -> Checker.t) ->
-  make_robust_ctx:(Robust.Imrm.t -> Markov.Labeling.t -> Checker.t) ->
-  unit -> t
-(** [make_ctx] prepares the checking context for every loaded explicit
-    model — the server closes it over its engine, epsilon, reduction
-    config, pool and telemetry; [make_robust_ctx] does the same for
-    interval-valued entries ({!Checker.make_robust}).  Symbolic entries
-    use neither. *)
+val create : Session.config -> t
+(** Every session the registry loads is prepared on this configuration
+    (the server's engine, epsilon, reduction, pool and telemetry). *)
 
 val load :
-  t -> name:string -> ?builtin:string -> ?file:string -> ?drift:float ->
-  ?imrm:string -> unit -> (entry, string) result
-(** Build the model and register it under [name].  Without [builtin] or
-    [file], [name] itself must be a built-in model
-    ({!Models.Builtin}); with [builtin], that built-in is loaded and
-    registered under the (possibly different) [name] — an alias, giving
-    the entry its own independent warm caches; with [file], the file is
-    parsed — [.gcm] files become symbolic entries (each load gets a
-    fresh, independent warm space), anything else is parsed as [.mrm].
-    With [drift] (a percentage in [\[0, 100)]) the resolved explicit
-    model is widened by a uniform relative drift into a robust entry;
-    with [imrm], [imrm] is parsed as an interval-model JSON file
-    ({!Robust.Imrm_io}) and every other source is ignored.  Built-in
-    ["<name>-drift[:PCT]"] names resolve to robust entries directly.
-    Replaces any existing entry (fresh warm state).  Errors are
-    messages: unknown built-in, or the file's parse error with
-    [file:line:col] positions for [.gcm]. *)
+  t -> name:string -> ?drift:float -> Session.source ->
+  (entry, Session.load_error) result
+(** {!Session.load} the source and register it under [name], replacing
+    any existing entry (fresh warm state).  A built-in loaded under
+    another name is an alias with its own independent caches; each
+    [.gcm] load gets a fresh, independent warm space. *)
 
 val find : t -> string -> entry option
 

@@ -84,118 +84,16 @@ let registry t = t.reg
 let preload t names =
   List.fold_left
     (fun acc name ->
-      match acc with
-      | Error _ -> acc
-      | Ok () -> begin
-          match Registry.load t.reg ~name () with
-          | Ok _ -> Ok ()
-          | Error message -> Error message
-        end)
+      Result.bind acc (fun () ->
+          Registry.load t.reg ~name (Session.Builtin name)
+          |> Result.map ignore
+          |> Result.map_error Session.load_error_message))
     (Ok ()) names
-
-(* ------------------------------------------------------------------ *)
-(* Response bodies.                                                    *)
-
-let counters_entry (c : Perf.Batch.counters) =
-  Io.Json.Object
-    [ ("lookups", Io.Json.Number (float_of_int c.Perf.Batch.lookups));
-      ("hits", Io.Json.Number (float_of_int c.Perf.Batch.hits));
-      ("misses", Io.Json.Number (float_of_int c.Perf.Batch.misses));
-      ("hit_rate", Io.Json.Number (Batch.hit_rate c)) ]
-
-(* Exactly the result shape of a [csrl-check --batch] entry, so server
-   answers are comparable to the single-shot CLI string-for-string. *)
-let verdict_json ~init verdict =
-  match verdict with
-  | Checker.Boolean mask ->
-    let indicator =
-      Linalg.Vec.init (Array.length mask) (fun s ->
-          if mask.(s) then 1.0 else 0.0)
-    in
-    [ ("kind", Io.Json.String "boolean");
-      ("initial_mass", Io.Json.Number (Linalg.Vec.dot init indicator));
-      ("states",
-       Io.Json.List (Array.to_list (Array.map (fun b -> Io.Json.Bool b) mask)))
-    ]
-  | Checker.Numeric values ->
-    [ ("kind", Io.Json.String "numeric");
-      ("value", Io.Json.Number (Linalg.Vec.dot init values));
-      ("states",
-       Io.Json.List
-         (List.init (Linalg.Vec.length values) (fun s ->
-              Io.Json.Number values.{s}))) ]
-  | Checker.Three_valued tris ->
-    let mass keep =
-      Linalg.Vec.dot init
-        (Linalg.Vec.init (Array.length tris) (fun s ->
-             if keep tris.(s) then 1.0 else 0.0))
-    in
-    [ ("kind", Io.Json.String "three-valued");
-      ("initial_mass_lo",
-       Io.Json.Number (mass (fun v -> v = Checker.Holds)));
-      ("initial_mass_hi",
-       Io.Json.Number (mass (fun v -> v <> Checker.Fails)));
-      ("states",
-       Io.Json.List
-         (Array.to_list
-            (Array.map
-               (fun v -> Io.Json.String (Checker.tri_to_string v))
-               tris))) ]
-  | Checker.Interval env ->
-    let lo = env.Robust.Envelope.lo and hi = env.Robust.Envelope.hi in
-    [ ("kind", Io.Json.String "interval");
-      ("value_lo", Io.Json.Number (Linalg.Vec.dot init lo));
-      ("value_hi", Io.Json.Number (Linalg.Vec.dot init hi));
-      ("states",
-       Io.Json.List
-         (List.init (Linalg.Vec.length lo) (fun s ->
-              Io.Json.List [ Io.Json.Number lo.{s}; Io.Json.Number hi.{s} ])))
-    ]
-
-(* Symbolic (successor-backed) models answer with a certified interval
-   instead of a per-state vector: there is no enumerated state space to
-   report over. *)
-let symbolic_answer_json (a : Perf.Symbolic.answer) =
-  [ ("value", Io.Json.Number a.Perf.Symbolic.value);
-    ("delta", Io.Json.Number a.Perf.Symbolic.delta);
-    ("lower", Io.Json.Number a.Perf.Symbolic.lower);
-    ("upper", Io.Json.Number a.Perf.Symbolic.upper);
-    ("fallback", Io.Json.Bool a.Perf.Symbolic.fallback) ]
-  @
-  match a.Perf.Symbolic.stats with
-  | None -> []
-  | Some s ->
-    [ ("window",
-       Io.Json.Object
-         [ ("peak_window",
-            Io.Json.Number (float_of_int s.Explore.Windowed.peak_window));
-           ("states_expanded",
-            Io.Json.Number (float_of_int s.Explore.Windowed.states_expanded));
-           ("mass_dropped", Io.Json.Number s.Explore.Windowed.mass_dropped);
-           ("iterations",
-            Io.Json.Number (float_of_int s.Explore.Windowed.iterations));
-           ("restarts",
-            Io.Json.Number (float_of_int s.Explore.Windowed.restarts));
-           ("rate", Io.Json.Number s.Explore.Windowed.rate) ]) ]
-
-let symbolic_verdict_json (outcome : Perf.Symbolic.outcome) =
-  match outcome with
-  | Perf.Symbolic.Numeric a ->
-    ("kind", Io.Json.String "numeric") :: symbolic_answer_json a
-  | Perf.Symbolic.Boolean (sat, a) ->
-    [ ("kind", Io.Json.String "boolean"); ("satisfied", Io.Json.Bool sat) ]
-    @ (match a with None -> [] | Some a -> symbolic_answer_json a)
-
-let entry_states (e : Registry.entry) =
-  match e.Registry.payload with
-  | Registry.Explicit { mrm; _ } -> Markov.Mrm.n_states mrm
-  | Registry.Symbolic { sym; _ } -> Perf.Symbolic.n_states sym
-  | Registry.Robust { imrm; _ } -> Robust.Imrm.n_states imrm
 
 (* ------------------------------------------------------------------ *)
 (* Request execution.                                                  *)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+let ( let* ) = Result.bind
 
 let bump t request =
   Mutex.protect t.counters_lock (fun () ->
@@ -247,27 +145,17 @@ let deadline_token t ~admitted ?id request =
            (Printf.sprintf "deadline of %g ms expired in the queue" ms))
     else Ok (Some (Numerics.Cancel.of_deadline ~clock:t.config.clock deadline))
 
-(* Per-request solve failures, uniformly mapped to error responses so
-   one bad request never kills the daemon. *)
-let guarded ?id f =
-  match f () with
-  | v -> Ok v
-  | exception Numerics.Cancel.Cancelled reason ->
-    Error (Protocol.error ?id ~code:"deadline_exceeded" reason)
-  | exception Checker.Unsupported message ->
-    Error (Protocol.error ?id ~code:"unsupported" message)
-  | exception Perf.Symbolic.Unsupported message ->
-    Error (Protocol.error ?id ~code:"unsupported" message)
-  | exception Lang.Gcm.Runtime_error message ->
-    Error (Protocol.error ?id ~code:"model_runtime_error" message)
-  | exception Markov.Labeling.Unknown_proposition p ->
-    Error
-      (Protocol.error ?id ~code:"unknown_proposition"
-         (Printf.sprintf "unknown atomic proposition %S" p))
-  | exception Invalid_argument message ->
-    Error (Protocol.error ?id ~code:"invalid_argument" message)
-  | exception Failure message ->
-    Error (Protocol.error ?id ~code:"internal" message)
+(* Resolve the model, parse the query, arm the deadline, and run the
+   session operation under the entry's lock: the shared path of check,
+   quantile and frontier requests. *)
+let solve t ~admitted ?id ~model ~query request run =
+  let* entry = resolve t ?id model in
+  let* q = parse_query ?id query in
+  let* cancel = deadline_token t ~admitted ?id request in
+  Registry.exclusively entry (fun () -> run ?cancel entry.Registry.payload q)
+  |> Result.map (fun answer -> (q, answer))
+  |> Result.map_error (fun (r : Session.refusal) ->
+         Protocol.error ?id ~code:r.Session.code r.Session.message)
 
 let stats_json t =
   let c = t.counters in
@@ -288,85 +176,49 @@ let stats_json t =
   let models =
     List.map
       (fun (e : Registry.entry) ->
-        let cache =
-          match e.Registry.payload with
-          | Registry.Explicit { memo; _ } | Registry.Robust { memo; _ } ->
-            Io.Json.Object
-              (List.map
-                 (fun (name, counters) -> (name, counters_entry counters))
-                 (Checker.memo_counters memo))
-          | Registry.Symbolic { sym; _ } ->
-            Io.Json.Object
-              [ ("query_memo_entries",
-                 Io.Json.Number (float_of_int (Perf.Symbolic.memo_size sym))) ]
-        in
         Io.Json.Object
           [ ("name", Io.Json.String e.Registry.name);
-            ("states", Io.Json.Number (float_of_int (entry_states e)));
-            ("cache", cache) ])
+            int_field ("states", Session.n_states e.Registry.payload);
+            ("cache", Session.cache_json e.Registry.payload) ])
       (Registry.entries t.reg)
   in
-  let fg = Numerics.Fox_glynn.cache_counters () in
   [ ("requests", Io.Json.Object (List.map int_field requests));
-    ("errors", Io.Json.Number (float_of_int errors));
-    ("overloaded", Io.Json.Number (float_of_int overloaded));
-    ("deadline_exceeded", Io.Json.Number (float_of_int deadline_exceeded));
+    int_field ("errors", errors);
+    int_field ("overloaded", overloaded);
+    int_field ("deadline_exceeded", deadline_exceeded);
     ("models", Io.Json.List models);
-    ("fox_glynn",
-     counters_entry
-       { Perf.Batch.lookups = fg.Numerics.Fox_glynn.lookups;
-         hits = fg.Numerics.Fox_glynn.hits;
-         misses = fg.Numerics.Fox_glynn.misses }) ]
+    ("fox_glynn", Session.counter_json (Session.fox_glynn_counters ())) ]
 
 let run_request t ~admitted ~id request =
   let ok = Protocol.response_ok ~id in
+  let model_field model = ("model", Io.Json.String model) in
+  let query_field q =
+    ("query", Io.Json.String (Format.asprintf "%a" Logic.Ast.pp_query q))
+  in
   match (request : Protocol.request) with
   | Load { model; file; builtin; drift; imrm } -> begin
-      match Registry.load t.reg ~name:model ?builtin ?file ?drift ?imrm () with
-      | Ok entry -> begin
-          match entry.Registry.payload with
-          | Registry.Explicit { mrm; _ } ->
-            Ok
-              (ok ~kind:"load"
-                 [ ("model", Io.Json.String model);
-                   ("states",
-                    Io.Json.Number (float_of_int (Markov.Mrm.n_states mrm)));
-                   ("transitions",
-                    Io.Json.Number
-                      (float_of_int
-                         (Linalg.Csr.nnz
-                            (Markov.Ctmc.rates (Markov.Mrm.ctmc mrm))))) ])
-          | Registry.Symbolic { sym; _ } ->
-            (* The reachable space is discovered on demand; only the
-               interned count (the initial state, at load time) exists. *)
-            Ok
-              (ok ~kind:"load"
-                 [ ("model", Io.Json.String model);
-                   ("symbolic", Io.Json.Bool true);
-                   ("states_interned",
-                    Io.Json.Number
-                      (float_of_int (Perf.Symbolic.n_states sym))) ])
-          | Registry.Robust { imrm; _ } ->
-            Ok
-              (ok ~kind:"load"
-                 [ ("model", Io.Json.String model);
-                   ("robust", Io.Json.Bool true);
-                   ("states",
-                    Io.Json.Number
-                      (float_of_int (Robust.Imrm.n_states imrm)));
-                   ("transitions",
-                    Io.Json.Number
-                      (float_of_int (Robust.Imrm.n_transitions imrm)));
-                   ("max_width", Io.Json.Number (Robust.Imrm.max_width imrm))
-                 ])
-        end
-      | Error message ->
-        let code = if file = None then "unknown_model" else "load_error" in
-        Error (Protocol.error ?id ~code message)
+      let source =
+        match imrm, file with
+        | Some path, _ -> Session.Imrm path
+        | None, Some path -> Session.File path
+        | None, None -> Session.Builtin (Option.value builtin ~default:model)
+      in
+      match Registry.load t.reg ~name:model ?drift source with
+      | Ok entry ->
+        Ok
+          (ok ~kind:"load"
+             (model_field model :: Session.summary_json entry.Registry.payload))
+      | Error e ->
+        let code =
+          match e with
+          | Session.Unknown_model _ -> "unknown_model"
+          | Session.Load_error _ -> "load_error"
+        in
+        Error (Protocol.error ?id ~code (Session.load_error_message e))
     end
   | Evict { model } ->
     if Registry.evict t.reg model then
-      Ok (ok ~kind:"evict" [ ("model", Io.Json.String model) ])
+      Ok (ok ~kind:"evict" [ model_field model ])
     else
       Error
         (Protocol.error ?id ~code:"unknown_model"
@@ -377,175 +229,51 @@ let run_request t ~admitted ~id request =
         (fun (e : Registry.entry) ->
           Io.Json.Object
             [ ("name", Io.Json.String e.Registry.name);
-              ("states", Io.Json.Number (float_of_int (entry_states e))) ])
+              ("states",
+               Io.Json.Number
+                 (float_of_int (Session.n_states e.Registry.payload))) ])
         (Registry.entries t.reg)
     in
     Ok (ok ~kind:"list" [ ("models", Io.Json.List models) ])
   | Check { model; query; _ } ->
-    let* entry = resolve t ?id model in
-    let* q = parse_query ?id query in
-    let* token = deadline_token t ~admitted ?id request in
-    let header =
-      [ ("model", Io.Json.String model);
-        ("query", Io.Json.String (Format.asprintf "%a" Logic.Ast.pp_query q))
-      ]
+    let* q, answer =
+      solve t ~admitted ?id ~model ~query request (fun ?cancel s q ->
+          Session.check ?cancel s q)
     in
-    (match entry.Registry.payload with
-     | Registry.Explicit { ctx; memo; init; _ }
-     | Registry.Robust { ctx; memo; init; _ } ->
-       let ctx = Checker.with_cancel ctx token in
-       let* verdict =
-         Registry.exclusively entry (fun () ->
-             guarded ?id (fun () -> Checker.eval_query ~memo ctx q))
-       in
-       Ok
-         (ok ~kind:"check"
-            (header @ [ ("result", Io.Json.Object (verdict_json ~init verdict)) ]))
-     | Registry.Symbolic { sym; _ } ->
-       (* The server's engine config only constrains the epsilon here: a
-          symbolic model is always solved by the windowed engine. *)
-       let epsilon =
-         match t.config.engine with
-         | Perf.Engine.Windowed { epsilon } -> epsilon
-         | _ -> t.config.epsilon
-       in
-       let* outcome =
-         Registry.exclusively entry (fun () ->
-             guarded ?id (fun () ->
-                 Perf.Symbolic.eval ?telemetry:t.config.telemetry
-                   ?cancel:token ~epsilon sym q))
-       in
-       Ok
-         (ok ~kind:"check"
-            (header
-            @ [ ("result", Io.Json.Object (symbolic_verdict_json outcome)) ])))
+    Ok
+      (ok ~kind:"check"
+         [ model_field model; query_field q;
+           ("result", Io.Json.Object (Session.to_json answer)) ])
   | Quantile { model; query; variable; target; hi; tolerance; _ } ->
-    let* entry = resolve t ?id model in
-    let* q = parse_query ?id query in
-    let* time, reward, phi, psi =
-      match q with
-      | Logic.Ast.Prob_query (Logic.Ast.Until (time, reward, phi, psi)) ->
-        Ok (time, reward, phi, psi)
-      | _ ->
-        Error
-          (Protocol.error ?id ~code:"bad_request"
-             "quantile needs a P=? query whose path formula is an until")
+    let axis, name =
+      match variable with
+      | Protocol.Time -> (`Time, "t")
+      | Protocol.Reward -> (`Reward, "r")
     in
-    let* ctx, memo, init =
-      match entry.Registry.payload with
-      | Registry.Explicit { ctx; memo; init; _ } -> Ok (ctx, memo, init)
-      | Registry.Symbolic _ ->
-        Error
-          (Protocol.error ?id ~code:"unsupported"
-             "quantile search runs on explicit models only; check the .gcm \
-              model directly or load its materialised .mrm")
-      | Registry.Robust _ ->
-        Error
-          (Protocol.error ?id ~code:"unsupported"
-             "quantile search needs point probabilities; check the interval \
-              model's envelopes with P queries instead")
-    in
-    let* token = deadline_token t ~admitted ?id request in
-    let ctx = Checker.with_cancel ctx token in
-    let eval x =
-      (* The bound on the chosen variable in the query text is a
-         placeholder: each probe re-solves with that bound set to [x].
-         The reduction and Theorem 1 caches are keyed by the Sat-sets
-         only, so every iteration after the first reuses the prepared
-         pipeline. *)
-      let time, reward =
-        match variable with
-        | Protocol.Time -> (Numerics.Time_interval.upto x, reward)
-        | Protocol.Reward -> (time, Numerics.Time_interval.upto x)
-      in
-      let probe =
-        Logic.Ast.Prob_query (Logic.Ast.Until (time, reward, phi, psi))
-      in
-      match Checker.eval_query ~memo ctx probe with
-      | Checker.Numeric values -> Linalg.Vec.dot init values
-      | _ -> assert false
-    in
-    let* outcome =
-      Registry.exclusively entry (fun () ->
-          guarded ?id (fun () -> Quantile.search ~eval ~target ~hi ~tolerance))
+    let* _, answer =
+      solve t ~admitted ?id ~model ~query request (fun ?cancel s q ->
+          Session.quantile ?cancel s ~variable:axis ~target ~hi ~tolerance q)
     in
     Ok
       (ok ~kind:"quantile"
-         [ ("model", Io.Json.String model);
-           ("variable",
-            Io.Json.String
-              (match variable with Protocol.Time -> "t" | Reward -> "r"));
-           ("target", Io.Json.Number target);
-           ("hi", Io.Json.Number hi);
-           ("tolerance", Io.Json.Number tolerance);
-           ("value",
-            (match outcome.Quantile.value with
-             | None -> Io.Json.Null
-             | Some v -> Io.Json.Number v));
-           ("achieved", Io.Json.Number outcome.Quantile.achieved);
-           ("evaluations",
-            Io.Json.Number (float_of_int outcome.Quantile.evaluations)) ])
+         ([ model_field model;
+            ("variable", Io.Json.String name);
+            ("target", Io.Json.Number target);
+            ("hi", Io.Json.Number hi);
+            ("tolerance", Io.Json.Number tolerance) ]
+         @ Session.fields answer))
   | Frontier { model; query; tolerance; _ } ->
-    let* entry = resolve t ?id model in
-    let* q = parse_query ?id query in
-    let* () =
-      match q with
-      | Logic.Ast.Frontier_query _ -> Ok ()
-      | _ ->
-        Error
-          (Protocol.error ?id ~code:"bad_request"
-             "frontier needs a frontier query: 'frontier[N] P>=p ( phi \
-              U[t<=T][r<=R] psi )'")
-    in
-    let* ctx, memo, init =
-      match entry.Registry.payload with
-      | Registry.Explicit { ctx; memo; init; _ } -> Ok (ctx, memo, init)
-      | Registry.Symbolic _ ->
-        Error
-          (Protocol.error ?id ~code:"unsupported"
-             "frontier sweeps run on explicit models only; check the .gcm \
-              model directly or load its materialised .mrm")
-      | Registry.Robust _ ->
-        Error
-          (Protocol.error ?id ~code:"unsupported"
-             "frontier sweeps need point probabilities; check the interval \
-              model's envelopes with P queries instead")
-    in
-    let* token = deadline_token t ~admitted ?id request in
-    let ctx = Checker.with_cancel ctx token in
     (* Every probe is an ordinary solve with the entry's memo, so the
        sweep shares the model's warm caches with check/quantile traffic
-       and each point stays bit-identical to a cold check of the same
-       bounds. *)
-    let* f =
-      Registry.exclusively entry (fun () ->
-          guarded ?id (fun () ->
-              Batch.Frontier.run ?telemetry:t.config.telemetry
-                ~memo ~tolerance ctx ~init q))
-    in
-    let points =
-      List.map
-        (fun (p : Batch.Frontier.point) ->
-          Io.Json.Object
-            [ ("t", Io.Json.Number p.Batch.Frontier.t);
-              ("r", Io.Json.Number p.Batch.Frontier.r);
-              ("probability", Io.Json.Number p.Batch.Frontier.probability) ])
-        f.Batch.Frontier.points
+       and each point stays bit-identical to a cold check. *)
+    let* q, answer =
+      solve t ~admitted ?id ~model ~query request (fun ?cancel s q ->
+          Session.frontier ?cancel ~tolerance s q)
     in
     Ok
       (ok ~kind:"frontier"
-         [ ("model", Io.Json.String model);
-           ("query",
-            Io.Json.String (Format.asprintf "%a" Logic.Ast.pp_query q));
-           ("target", Io.Json.Number f.Batch.Frontier.target);
-           ("time_bound", Io.Json.Number f.Batch.Frontier.time_bound);
-           ("reward_bound", Io.Json.Number f.Batch.Frontier.reward_bound);
-           ("grid",
-            Io.Json.Number (float_of_int f.Batch.Frontier.grid));
-           ("tolerance", Io.Json.Number f.Batch.Frontier.tolerance);
-           ("points", Io.Json.List points);
-           ("evaluations",
-            Io.Json.Number (float_of_int f.Batch.Frontier.evaluations)) ])
+         (model_field model :: query_field q
+         :: Session.fields ~evaluations_last:true answer))
   | Stats -> Ok (ok ~kind:"stats" (stats_json t))
   | Shutdown -> Ok (ok ~kind:"shutdown" [])
 
@@ -706,18 +434,14 @@ let stop t =
 let create config =
   if config.executors < 1 then
     invalid_arg "Service.create: executors must be >= 1";
-  let make_ctx mrm labeling =
-    Checker.make ~engine:config.engine ~epsilon:config.epsilon
-      ~pool:config.pool ?telemetry:config.telemetry
-      ~reduction:config.reduction mrm labeling
-  in
-  let make_robust_ctx imrm labeling =
-    Checker.make_robust ~engine:config.engine ~epsilon:config.epsilon
-      ~pool:config.pool ?telemetry:config.telemetry
-      ~reduction:config.reduction imrm labeling
-  in
   { config;
-    reg = Registry.create ~make_ctx ~make_robust_ctx ();
+    reg =
+      Registry.create
+        { Session.engine = config.engine;
+          epsilon = config.epsilon;
+          reduction = config.reduction;
+          pool = config.pool;
+          telemetry = config.telemetry };
     counters =
       { c_load = 0; c_evict = 0; c_list = 0; c_check = 0; c_quantile = 0;
         c_frontier = 0; c_stats = 0; c_shutdown = 0; c_errors = 0;

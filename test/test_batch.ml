@@ -1,5 +1,5 @@
-(* Tests for the batched multi-query engine: the defining invariant is
-   that [Batch.run] answers every query bit-identically to a sequential
+(* Tests for batched multi-query checking: the defining invariant is
+   that [Session.batch] answers every query bit-identically to a sequential
    single-query [Checker.eval_query] run — with and without an
    across-queries domain pool — while the shared memo's cache counters
    stay consistent. *)
@@ -46,6 +46,21 @@ let gen_batch =
     pair (int_range 0 10_000)
       (list_size (int_range 1 8) (oneofl query_pool)))
 
+let config pool =
+  { Session.engine = Perf.Engine.default; epsilon = 1e-9;
+    reduction = Perf.Reduction.default; pool; telemetry = None }
+
+(* The verdicts of a batch run on a session's shared memo. *)
+let batch session queries =
+  match Session.batch session queries with
+  | Ok answers ->
+    List.map
+      (function
+        | Session.Verdict { verdict; _ } -> verdict
+        | _ -> QCheck2.Test.fail_report "batch answered a non-verdict")
+      answers
+  | Error r -> QCheck2.Test.fail_report r.Session.message
+
 let check_counters what counters =
   List.iter
     (fun (name, (c : Perf.Batch.counters)) ->
@@ -68,6 +83,7 @@ let batch_matches_sequential =
           Models.Random_mrm.default
       in
       let queries = List.map Logic.Parser.query texts in
+      let init = Linalg.Vec.unit (Markov.Mrm.n_states m) 0 in
       let ctx = Checker.make m labeling in
       let expected = List.map (Checker.eval_query ctx) queries in
       let check what actual =
@@ -80,9 +96,10 @@ let batch_matches_sequential =
           (List.combine expected actual)
       in
       (* Without a pool: every query on the plain sequential path. *)
-      let memo = Checker.create_memo () in
-      check "no pool" (Batch.run ~memo ctx queries);
-      let counters = Checker.memo_counters memo in
+      let session pool = Session.of_explicit (config pool) m labeling init in
+      let sequential = session Parallel.Pool.sequential in
+      check "no pool" (batch sequential queries);
+      let counters = Session.cache_counters sequential in
       check_counters "no pool" counters;
       let sat_lookups =
         match List.assoc_opt "sat" counters with
@@ -93,14 +110,14 @@ let batch_matches_sequential =
         QCheck2.Test.fail_report "batch consulted no Sat-set at all";
       (* Re-running on the same memo must hit for every repeated key and
          still answer identically. *)
-      check "warm memo" (Batch.run ~memo ctx queries);
-      check_counters "warm memo" (Checker.memo_counters memo);
+      check "warm memo" (batch sequential queries);
+      check_counters "warm memo" (Session.cache_counters sequential);
       (* Across a pool: queries dispatched over 3 domains, kernels still
          forced onto the sequential path. *)
       Parallel.Pool.with_pool ~jobs:3 (fun pool ->
-          let memo = Checker.create_memo () in
-          check "pool" (Batch.run ~pool ~memo ctx queries);
-          check_counters "pool" (Checker.memo_counters memo));
+          let pooled = session pool in
+          check "pool" (batch pooled queries);
+          check_counters "pool" (Session.cache_counters pooled));
       true)
 
 (* The memo is an argument of [eval_query] too: a memoised single-query

@@ -1,5 +1,5 @@
 (* Tests for the two-cost frontier layer: Perf.Frontier's bisection
-   primitive and divide-and-conquer sweep, and Batch.Frontier's
+   primitive and divide-and-conquer sweep, and Session.frontier's
    end-to-end runs.  The defining invariant is differential: every
    emitted staircase point must be bit-identical to a cold single-query
    [Checker.eval_query] solve of the same (t, r) bounds — with and
@@ -9,6 +9,19 @@
    warm-memo reruns with coherent cache counters. *)
 
 let bits = Int64.bits_of_float
+
+let session ?(pool = Parallel.Pool.sequential)
+    ?(reduction = Perf.Reduction.default) m labeling init =
+  Session.of_explicit
+    { Session.engine = Perf.Engine.default; epsilon = 1e-9; reduction; pool;
+      telemetry = None }
+    m labeling init
+
+let sweep ~tolerance s query =
+  match Session.frontier ~tolerance s query with
+  | Ok (Session.Frontier f) -> f
+  | Ok _ -> Alcotest.fail "not a frontier answer"
+  | Error r -> Alcotest.fail r.Session.message
 
 (* ------------------------------------------------------------------ *)
 (* probe: the 1-point degenerate case on analytic evals.               *)
@@ -51,21 +64,39 @@ let test_probe_validation () =
     (Invalid_argument "Frontier.probe: tolerance must be positive") (fun () ->
       ignore (Perf.Frontier.probe ~eval ~target:0.5 ~hi:1.0 ~tolerance:0.0))
 
-(* Server.Quantile is the 1-point degenerate case of the frontier: its
-   search must be the same record Frontier.probe returns, bit for bit
-   (serve.t additionally pins the absolute values over the wire). *)
+(* A session's quantile is the 1-point degenerate case of the frontier:
+   its outcome must be the record Frontier.probe returns over cold
+   single-query solves, bit for bit (serve.t additionally pins the
+   absolute values over the wire). *)
 let test_quantile_delegates () =
-  let eval x = 1.0 -. exp (-.2.0 *. x) in
-  let q = Server.Quantile.search ~eval ~target:0.75 ~hi:20.0 ~tolerance:1e-7 in
-  let f = Perf.Frontier.probe ~eval ~target:0.75 ~hi:20.0 ~tolerance:1e-7 in
-  (match (q.Server.Quantile.value, f.Perf.Frontier.value) with
+  let m, labeling, init = Option.get (Models.Builtin.load "adhoc") in
+  let query = Logic.Parser.query "P=? ( true U[t<=1] doze )" in
+  let q =
+    match
+      Session.quantile (session m labeling init) ~variable:`Time ~target:0.5
+        ~hi:24.0 ~tolerance:1e-6 query
+    with
+    | Ok (Session.Quantile q) -> q
+    | Ok _ -> Alcotest.fail "not a quantile answer"
+    | Error r -> Alcotest.fail r.Session.message
+  in
+  let eval t =
+    let ctx = Checker.make m labeling in
+    match
+      Checker.eval_query ctx
+        (Logic.Parser.query (Printf.sprintf "P=? ( true U[t<=%.17g] doze )" t))
+    with
+    | Checker.Numeric v -> Linalg.Vec.dot init v
+    | _ -> Alcotest.fail "numeric verdict expected"
+  in
+  let f = Perf.Frontier.probe ~eval ~target:0.5 ~hi:24.0 ~tolerance:1e-6 in
+  (match (q.Perf.Frontier.value, f.Perf.Frontier.value) with
    | Some a, Some b when bits a = bits b -> ()
-   | None, None -> ()
-   | _ -> Alcotest.fail "Quantile.search diverged from Frontier.probe");
-  if bits q.Server.Quantile.achieved <> bits f.Perf.Frontier.achieved then
+   | _ -> Alcotest.fail "Session.quantile diverged from Frontier.probe");
+  if bits q.Perf.Frontier.achieved <> bits f.Perf.Frontier.achieved then
     Alcotest.fail "achieved probabilities differ";
   Alcotest.(check int) "evaluation counts" f.Perf.Frontier.evaluations
-    q.Server.Quantile.evaluations
+    q.Perf.Frontier.evaluations
 
 (* ------------------------------------------------------------------ *)
 (* sweep: certified staircase on an analytic two-variable eval.        *)
@@ -152,21 +183,21 @@ let differential_on ?pool ?reduction what m labeling =
     | _ -> Alcotest.fail "not a frontier query"
   in
   let init = uniform_init (Markov.Mrm.n_states m) in
-  let ctx = Checker.make ?pool ?reduction m labeling in
-  let memo = Checker.create_memo () in
-  let result = Batch.Frontier.run ~memo ~tolerance:1e-4 ctx ~init query in
+  let result =
+    sweep ~tolerance:1e-4 (session ?pool ?reduction m labeling init) query
+  in
   List.iter
-    (fun (p : Batch.Frontier.point) ->
+    (fun (p : Perf.Frontier.point) ->
       let cold =
         cold_point ?pool ?reduction m labeling ~init ~path
-          ~t:p.Batch.Frontier.t ~r:p.Batch.Frontier.r
+          ~t:p.Perf.Frontier.t ~r:p.Perf.Frontier.r
       in
-      if bits p.Batch.Frontier.probability <> bits cold then
+      if bits p.Perf.Frontier.probability <> bits cold then
         Alcotest.failf
           "%s: point (t=%.17g, r=%.17g) sweep %.17g != cold %.17g" what
-          p.Batch.Frontier.t p.Batch.Frontier.r p.Batch.Frontier.probability
+          p.Perf.Frontier.t p.Perf.Frontier.r p.Perf.Frontier.probability
           cold)
-    result.Batch.Frontier.points;
+    result.Session.points;
   result
 
 let test_differential () =
@@ -180,33 +211,33 @@ let test_differential () =
         Models.Random_mrm.generate_labeled ~seed Models.Random_mrm.default
       in
       let plain = differential_on "sequential/reduced" m labeling in
-      emitted := !emitted + List.length plain.Batch.Frontier.points;
+      emitted := !emitted + List.length plain.Session.points;
       let no_reduce =
         differential_on ~reduction:Perf.Reduction.none "no-reduce" m labeling
       in
       (* The reduction pipeline must not change what the sweep emits:
          same staircase coordinates, same probabilities, bit for bit. *)
       if
-        List.length plain.Batch.Frontier.points
-        <> List.length no_reduce.Batch.Frontier.points
+        List.length plain.Session.points
+        <> List.length no_reduce.Session.points
       then Alcotest.fail "reduction changed the staircase size";
       List.iter2
-        (fun (a : Batch.Frontier.point) (b : Batch.Frontier.point) ->
+        (fun (a : Perf.Frontier.point) (b : Perf.Frontier.point) ->
           if
-            bits a.Batch.Frontier.t <> bits b.Batch.Frontier.t
-            || bits a.Batch.Frontier.r <> bits b.Batch.Frontier.r
-            || bits a.Batch.Frontier.probability
-               <> bits b.Batch.Frontier.probability
+            bits a.Perf.Frontier.t <> bits b.Perf.Frontier.t
+            || bits a.Perf.Frontier.r <> bits b.Perf.Frontier.r
+            || bits a.Perf.Frontier.probability
+               <> bits b.Perf.Frontier.probability
           then Alcotest.fail "reduction changed a staircase point")
-        plain.Batch.Frontier.points no_reduce.Batch.Frontier.points;
+        plain.Session.points no_reduce.Session.points;
       Parallel.Pool.with_pool ~jobs:3 (fun pool ->
           let pooled = differential_on ~pool "pool" m labeling in
           List.iter2
-            (fun (a : Batch.Frontier.point) (b : Batch.Frontier.point) ->
-              if bits a.Batch.Frontier.probability
-                 <> bits b.Batch.Frontier.probability
+            (fun (a : Perf.Frontier.point) (b : Perf.Frontier.point) ->
+              if bits a.Perf.Frontier.probability
+                 <> bits b.Perf.Frontier.probability
               then Alcotest.fail "pool changed a staircase point")
-            plain.Batch.Frontier.points pooled.Batch.Frontier.points;
+            plain.Session.points pooled.Session.points;
           ignore
             (differential_on ~pool ~reduction:Perf.Reduction.none
                "pool/no-reduce" m labeling)))
@@ -279,39 +310,38 @@ let sweep_staircase_and_warm_rerun =
       in
       let init = uniform_init (Markov.Mrm.n_states m) in
       let query = Logic.Parser.query "frontier[6] P>=0.1 ( a U[t<=2][r<=3] b )" in
-      let ctx = Checker.make m labeling in
-      let memo = Checker.create_memo () in
-      let first = Batch.Frontier.run ~memo ~tolerance:1e-3 ctx ~init query in
+      let s = session m labeling init in
+      let first = sweep ~tolerance:1e-3 s query in
       let last_t = ref 0.0 and last_r = ref Float.infinity in
       List.iter
-        (fun (p : Batch.Frontier.point) ->
-          if p.Batch.Frontier.t <= !last_t then
+        (fun (p : Perf.Frontier.point) ->
+          if p.Perf.Frontier.t <= !last_t then
             QCheck2.Test.fail_report "staircase t not strictly increasing";
-          if p.Batch.Frontier.r >= !last_r then
+          if p.Perf.Frontier.r >= !last_r then
             QCheck2.Test.fail_report "staircase r not strictly decreasing";
-          if p.Batch.Frontier.probability < 0.1 then
+          if p.Perf.Frontier.probability < 0.1 then
             QCheck2.Test.fail_report "staircase point below the target";
-          last_t := p.Batch.Frontier.t;
-          last_r := p.Batch.Frontier.r)
-        first.Batch.Frontier.points;
-      check_counters "first sweep" (Checker.memo_counters memo);
-      let again = Batch.Frontier.run ~memo ~tolerance:1e-3 ctx ~init query in
+          last_t := p.Perf.Frontier.t;
+          last_r := p.Perf.Frontier.r)
+        first.Session.points;
+      check_counters "first sweep" (Session.cache_counters s);
+      let again = sweep ~tolerance:1e-3 s query in
       if
-        List.length first.Batch.Frontier.points
-        <> List.length again.Batch.Frontier.points
-        || first.Batch.Frontier.evaluations
-           <> again.Batch.Frontier.evaluations
+        List.length first.Session.points
+        <> List.length again.Session.points
+        || first.Session.evaluations
+           <> again.Session.evaluations
       then QCheck2.Test.fail_report "warm rerun changed the sweep shape";
       List.iter2
-        (fun (a : Batch.Frontier.point) (b : Batch.Frontier.point) ->
+        (fun (a : Perf.Frontier.point) (b : Perf.Frontier.point) ->
           if
-            bits a.Batch.Frontier.t <> bits b.Batch.Frontier.t
-            || bits a.Batch.Frontier.r <> bits b.Batch.Frontier.r
-            || bits a.Batch.Frontier.probability
-               <> bits b.Batch.Frontier.probability
+            bits a.Perf.Frontier.t <> bits b.Perf.Frontier.t
+            || bits a.Perf.Frontier.r <> bits b.Perf.Frontier.r
+            || bits a.Perf.Frontier.probability
+               <> bits b.Perf.Frontier.probability
           then QCheck2.Test.fail_report "warm rerun changed a point")
-        first.Batch.Frontier.points again.Batch.Frontier.points;
-      check_counters "warm rerun" (Checker.memo_counters memo);
+        first.Session.points again.Session.points;
+      check_counters "warm rerun" (Session.cache_counters s);
       true)
 
 let suite =

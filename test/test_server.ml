@@ -204,23 +204,23 @@ let quantile_search () =
     x /. 10.0
   in
   let o =
-    Server.Quantile.search ~eval ~target:0.5 ~hi:10.0 ~tolerance:1e-9
+    Perf.Frontier.probe ~eval ~target:0.5 ~hi:10.0 ~tolerance:1e-9
   in
-  (match o.Server.Quantile.value with
+  (match o.Perf.Frontier.value with
    | Some v -> Alcotest.(check (float 1e-8)) "least bound" 5.0 v
    | None -> Alcotest.fail "no bound found");
   Alcotest.(check int) "evaluation count" (List.length !evals)
-    o.Server.Quantile.evaluations;
+    o.Perf.Frontier.evaluations;
   List.iter (fun x -> assert (x > 0.0)) !evals;
   (* Unreachable target: reported as None with the achieved level. *)
-  let o = Server.Quantile.search ~eval ~target:2.0 ~hi:10.0 ~tolerance:1e-9 in
-  Alcotest.(check bool) "unreachable" true (o.Server.Quantile.value = None);
+  let o = Perf.Frontier.probe ~eval ~target:2.0 ~hi:10.0 ~tolerance:1e-9 in
+  Alcotest.(check bool) "unreachable" true (o.Perf.Frontier.value = None);
   Alcotest.(check (float 1e-12)) "achieved at hi" 1.0
-    o.Server.Quantile.achieved;
+    o.Perf.Frontier.achieved;
   Alcotest.check_raises "hi <= 0"
-    (Invalid_argument "Quantile.search: hi must be positive and finite")
+    (Invalid_argument "Frontier.probe: hi must be positive and finite")
     (fun () ->
-      ignore (Server.Quantile.search ~eval ~target:0.5 ~hi:0.0 ~tolerance:1e-9))
+      ignore (Perf.Frontier.probe ~eval ~target:0.5 ~hi:0.0 ~tolerance:1e-9))
 
 (* The quantile request against the service agrees with inverting the
    checker by hand: eval at the returned bound reaches the target, and
@@ -258,7 +258,7 @@ let quantile_request () =
   Alcotest.(check bool) "bound is tight" true
     (eval (value -. 1e-5) < 0.5)
 
-(* A served frontier request is the same sweep Batch.Frontier runs: each
+(* A served frontier request is the same sweep Session.frontier runs: each
    emitted staircase point must be bit-identical to a hand Checker
    solve of its exact (t, r) bounds on a fresh context. *)
 let frontier_request () =
@@ -323,48 +323,140 @@ let frontier_request () =
 (* Service semantics.                                                  *)
 
 (* The differential claim: a served check answers bit-identically to a
-   plain Checker.eval_query on a fresh context. *)
+   plain Checker.eval_query on a fresh context — point verdicts on the
+   ad hoc model, three-valued and interval verdicts on its drifted
+   interval variant — and a served frontier sweep is exactly the
+   Perf.Frontier.sweep of cold checker solves. *)
 let differential_check () =
   let service = fresh_service () in
-  let queries =
+  (match Service.preload service [ "adhoc-drift" ] with
+   | Ok () -> ()
+   | Error m -> Alcotest.fail m);
+  let indicator keep n =
+    Linalg.Vec.init n (fun s -> if keep s then 1.0 else 0.0)
+  in
+  let vector v =
+    Io.Json.List
+      (Array.to_list (Array.map (fun x -> Io.Json.Number x) (Linalg.Vec.to_array v)))
+  in
+  let reference init = function
+    | Checker.Numeric v ->
+      [ ("kind", Io.Json.String "numeric");
+        ("value", Io.Json.Number (Linalg.Vec.dot init v));
+        ("states", vector v) ]
+    | Checker.Boolean mask ->
+      [ ("kind", Io.Json.String "boolean");
+        ("initial_mass",
+         Io.Json.Number
+           (Linalg.Vec.dot init (indicator (Array.get mask) (Array.length mask))));
+        ("states",
+         Io.Json.List (Array.to_list (Array.map (fun b -> Io.Json.Bool b) mask))) ]
+    | Checker.Three_valued tris ->
+      let mass keep =
+        Io.Json.Number
+          (Linalg.Vec.dot init
+             (indicator (fun s -> keep tris.(s)) (Array.length tris)))
+      in
+      [ ("kind", Io.Json.String "three-valued");
+        ("initial_mass_lo", mass (fun v -> v = Checker.Holds));
+        ("initial_mass_hi", mass (fun v -> v <> Checker.Fails));
+        ("states",
+         Io.Json.List
+           (Array.to_list
+              (Array.map (fun v -> Io.Json.String (Checker.tri_to_string v)) tris))) ]
+    | Checker.Interval env ->
+      let lo = env.Robust.Envelope.lo and hi = env.Robust.Envelope.hi in
+      [ ("kind", Io.Json.String "interval");
+        ("value_lo", Io.Json.Number (Linalg.Vec.dot init lo));
+        ("value_hi", Io.Json.Number (Linalg.Vec.dot init hi));
+        ("states",
+         Io.Json.List
+           (List.init (Linalg.Vec.length lo) (fun s ->
+                Io.Json.List [ Io.Json.Number lo.{s}; Io.Json.Number hi.{s} ]))) ]
+  in
+  let differential model ctx init queries =
+    List.iter
+      (fun text ->
+        let response = Service.execute service (check_env model text None) in
+        let result =
+          match member [ "result" ] response with
+          | Some r -> r
+          | None -> Alcotest.failf "no result in %s" (json_str response)
+        in
+        let expected =
+          reference init (Checker.eval_query ctx (Logic.Parser.query text))
+        in
+        (* String equality of the rendered JSON is bit-identity: Io.Json
+           prints floats with round-trip precision. *)
+        Alcotest.(check string) (model ^ ": " ^ text)
+          (json_str (Io.Json.Object expected))
+          (json_str result))
+      queries
+  in
+  let mrm, labeling, init = adhoc () in
+  differential "adhoc" (Checker.make mrm labeling) init
     [ "P=? ( F[t<=2] doze )";
       "P=? ( (call_idle | doze) U[t<=24][r<=600] call_initiated )";
       "P>=0.5 ( (call_idle | doze) U[t<=24][r<=600] call_initiated )";
-      "S=? ( doze )" ]
+      "S=? ( doze )" ];
+  let imrm, rlabeling, rinit =
+    Option.get (Models.Builtin.load_robust "adhoc-drift")
   in
-  let mrm, labeling, init = adhoc () in
-  let ctx = Checker.make mrm labeling in
-  List.iter
-    (fun text ->
-      let response = Service.execute service (check_env "adhoc" text None) in
-      let result =
-        match member [ "result" ] response with
-        | Some r -> r
-        | None -> Alcotest.failf "no result in %s" (json_str response)
-      in
-      let reference =
-        match Checker.eval_query ctx (Logic.Parser.query text) with
-        | Checker.Numeric v ->
-          [ ("kind", Io.Json.String "numeric");
-            ("value", Io.Json.Number (Linalg.Vec.dot init v));
-            ("states",
-             Io.Json.List
-               (Array.to_list (Array.map (fun x -> Io.Json.Number x) (Linalg.Vec.to_array v)))) ]
-        | Checker.Boolean mask ->
-          let ind = Array.map (fun b -> if b then 1.0 else 0.0) mask in
-          [ ("kind", Io.Json.String "boolean");
-            ("initial_mass", Io.Json.Number (Linalg.Vec.dot init (Linalg.Vec.of_array ind)));
-            ("states",
-             Io.Json.List
-               (Array.to_list (Array.map (fun b -> Io.Json.Bool b) mask))) ]
-        | _ -> Alcotest.fail "expected a point verdict"
-      in
-      (* String equality of the rendered JSON is bit-identity: Io.Json
-         prints floats with round-trip precision. *)
-      Alcotest.(check string) text
-        (json_str (Io.Json.Object reference))
-        (json_str result))
-    queries
+  differential "adhoc-drift" (Checker.make_robust imrm rlabeling) rinit
+    [ "P>=0.5 ( (call_idle | doze) U[t<=24] call_initiated )";
+      "P=? ( F[t<=2] call_initiated )" ];
+  (* A frontier request: the served staircase and evaluation count are
+     those of Perf.Frontier.sweep over cold solves. *)
+  let response =
+    Service.execute service
+      { Protocol.id = None;
+        request =
+          Protocol.Frontier
+            { model = "adhoc";
+              query =
+                "frontier[3] P>=0.3 ( (call_idle | doze) U[t<=6][r<=600] \
+                 call_initiated )";
+              tolerance = 1e-6;
+              deadline_ms = None } }
+  in
+  let eval ~t ~r =
+    let ctx = Checker.make mrm labeling in
+    let q =
+      Printf.sprintf
+        "P=? ( (call_idle | doze) U[t<=%.17g][r<=%.17g] call_initiated )" t r
+    in
+    match Checker.eval_query ctx (Logic.Parser.query q) with
+    | Checker.Numeric v -> Linalg.Vec.dot init v
+    | _ -> Alcotest.fail "numeric verdict expected"
+  in
+  let sweep =
+    Perf.Frontier.sweep ~eval ~target:0.3 ~time_bound:6.0 ~reward_bound:600.0
+      ~points:3 ~tolerance:1e-6
+  in
+  let expected =
+    Io.Json.Object
+      [ ("points",
+         Io.Json.List
+           (List.map
+              (fun (p : Perf.Frontier.point) ->
+                Io.Json.Object
+                  [ ("t", Io.Json.Number p.Perf.Frontier.t);
+                    ("r", Io.Json.Number p.Perf.Frontier.r);
+                    ("probability", Io.Json.Number p.Perf.Frontier.probability) ])
+              sweep.Perf.Frontier.points));
+        ("evaluations",
+         Io.Json.Number (float_of_int sweep.Perf.Frontier.evaluations)) ]
+  in
+  let served =
+    Io.Json.Object
+      (List.map
+         (fun key ->
+           match member [ key ] response with
+           | Some v -> (key, v)
+           | None -> Alcotest.failf "frontier response lacks %S" key)
+         [ "points"; "evaluations" ])
+  in
+  Alcotest.(check string) "frontier" (json_str expected) (json_str served)
 
 (* A deadline that fires mid-Sericola: the solve is abandoned with a
    structured error, and the interrupted run leaves no partial result
